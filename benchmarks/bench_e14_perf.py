@@ -3,8 +3,9 @@
 Every sweep point is one full simulated execution — the E13 chaos
 workloads (DISPERSE chatter and full ULS under seeded fault plans) and
 the E8 refresh at growing ``n`` — run twice in the same process: once
-with the perf layer disabled (``configure(enabled=False)``, all caches
-cleared) and once enabled (caches cleared first, so the optimized run
+with the crypto perf layer disabled (``configure(enabled=False)``, all
+caches cleared; the simulation floor is unconditional, so it is part of
+both modes) and once enabled (caches cleared first, so the optimized run
 starts cold and warms itself, which is the real workload pattern).  For
 each point we record
 
@@ -175,9 +176,9 @@ def build_report(measurements, jobs: int) -> dict:
         "config": {
             "group": "toy64",
             "smoke": SMOKE,
-            "perf_flags_on": ["verify_cache", "canonical_cache", "challenge_cache",
-                              "fixed_base", "batch_verify", "feldman_batch",
-                              "partial_batch", "share_image_cache", "gc_tuning"],
+            "modes": {"baseline": "enabled=False (crypto layer off; the "
+                                  "simulation floor is unconditional)",
+                      "optimized": "enabled=True"},
             "points": [point_id(p) for p in sweep_points()],
         },
         "results": results,

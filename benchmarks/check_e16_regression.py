@@ -7,13 +7,18 @@ just produced) against the committed floor baseline
 * any point's transcripts stopped matching (the layer must stay
   transcript-neutral — this is a correctness failure, not a perf one),
 * the compact-record mode lost rounds-digest parity, or
-* any point's **speedup ratio** regressed by more than ``--tolerance``
-  (default 25%) against the baseline ratio.
+* any point's **calibrated score** — layer-on rounds/sec of each of at
+  least five repeats, multiplied by the seconds of the fixed pure-Python
+  calibration loop timed around it in the same process
+  (``bench_e16_simfloor.calibration_s``), median over the repeats — fell
+  by more than ``--tolerance`` (default 25%) below the committed floor,
+  or is missing.
 
-The guard compares *ratios* (layer on vs off in the same process on the
-same machine), not absolute wall-clock, so it is portable across CI
-runner generations: a slower machine slows both modes, the ratio
-survives.  The committed floor is regenerated together with
+The score is an absolute rounds/sec normalized by the host's own
+interpreter speed, not a ratio against an in-process "floor off" mode:
+the floor's mechanisms are unconditional, so no such mode exists.  A
+slower machine slows the calibration loop and the simulation alike, so
+the product survives.  The committed floor is regenerated together with
 ``BENCH_E16.json``::
 
     BENCH_SMOKE=1 PYTHONPATH=src python benchmarks/bench_e16_simfloor.py
@@ -41,12 +46,12 @@ def load(path: pathlib.Path) -> dict:
 
 
 def floor_from_report(report: dict) -> dict:
-    """The committed floor: per-point speedup ratios of a known-good run."""
+    """The committed floor: per-point calibrated scores of a known-good run."""
     return {
         "source_experiment": report["experiment"],
         "smoke": report["config"]["smoke"],
-        "speedups": {
-            pid: point["speedup"]
+        "scores": {
+            pid: point["optimized_score"]
             for pid, point in report["timing"]["points"].items()
         },
     }
@@ -60,19 +65,20 @@ def check(current: dict, floor: dict, tolerance: float) -> list[str]:
     if not current["compact_records"]["digest_match"]:
         failures.append("compact-records: rounds-digest parity lost")
     points = current["timing"]["points"]
-    for pid, reference in floor["speedups"].items():
-        if pid not in points:
+    for pid, reference in floor["scores"].items():
+        measured = points.get(pid, {}).get("optimized_score")
+        if measured is None:
             # a floor point missing from the current sweep is a silent
             # coverage loss — flag it instead of skipping
-            failures.append(f"{pid}: in the committed floor but not measured")
+            failures.append(f"{pid}: in the committed floor but no calibrated "
+                            "score measured")
             continue
-        measured = points[pid]["speedup"]
         allowed = (1.0 - tolerance) * reference
         if measured < allowed:
             failures.append(
-                f"{pid}: speedup {measured:.2f}x regressed > {tolerance:.0%} "
-                f"below the committed floor {reference:.2f}x "
-                f"(allowed >= {allowed:.2f}x)")
+                f"{pid}: calibrated score {measured:.3f} regressed > "
+                f"{tolerance:.0%} below the committed floor {reference:.3f} "
+                f"(allowed >= {allowed:.3f})")
     return failures
 
 
@@ -84,7 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=pathlib.Path, default=FLOOR_PATH,
                         help="committed floor baseline")
     parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional speedup regression (default 0.25)")
+                        help="allowed fractional score regression (default 0.25)")
     parser.add_argument("--write-floor", action="store_true",
                         help="regenerate the committed floor from --current "
                              "instead of checking against it")
@@ -94,7 +100,7 @@ def main(argv=None) -> int:
     if args.write_floor:
         floor = floor_from_report(current)
         args.baseline.write_text(json.dumps(floor, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.baseline}: {floor['speedups']}")
+        print(f"wrote {args.baseline}: {floor['scores']}")
         return 0
 
     floor = load(args.baseline)
@@ -103,7 +109,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"E16 REGRESSION: {failure}", file=sys.stderr)
         return 1
-    print(f"E16 floor holds: {len(floor['speedups'])} points within "
+    print(f"E16 floor holds: {len(floor['scores'])} points within "
           f"{args.tolerance:.0%} of the committed baseline, transcripts equal")
     return 0
 
@@ -112,17 +118,28 @@ def main(argv=None) -> int:
 
 def test_committed_floor_matches_committed_report():
     """The committed smoke floor must stay in sync with what the guard
-    expects: every floor point exists, ratios are positive, and the
+    expects: every floor point exists, scores are positive, and the
     committed full report itself passes the guard against it."""
     floor = load(FLOOR_PATH)
-    assert floor["speedups"], "empty floor baseline"
-    assert all(ratio > 0 for ratio in floor["speedups"].values())
+    assert floor["scores"], "empty floor baseline"
+    assert all(score > 0 for score in floor["scores"].values())
     full = load(RESULTS_DIR / "BENCH_E16.json")
-    relevant = {pid: ratio for pid, ratio in floor["speedups"].items()
+    relevant = {pid: score for pid, score in floor["scores"].items()
                 if pid in full["timing"]["points"]}
     assert relevant, "floor and committed report share no points"
-    failures = check(full, {"speedups": relevant}, tolerance=0.25)
+    failures = check(full, {"scores": relevant}, tolerance=0.25)
     assert not failures, failures
+
+
+def test_guard_fails_the_floor_off_report():
+    """The guard is at least as strict as the ratio guard it replaced: a
+    smoke report measured with the pre-fold code and its five sim-floor
+    switches off fails on every floor point's calibrated score."""
+    floor = load(FLOOR_PATH)
+    prefold = load(RESULTS_DIR / "BENCH_E16_prefold.json")
+    failures = check(prefold["floor_off_smoke_report"], floor, tolerance=0.25)
+    assert len(failures) == len(floor["scores"]), failures
+    assert all("calibrated score" in failure for failure in failures), failures
 
 
 if __name__ == "__main__":

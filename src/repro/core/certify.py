@@ -131,8 +131,7 @@ def _signed_bytes_for(msg: "CertifiedMessage") -> bytes:
     Raises ``TypeError`` for unencodable message payloads, exactly like
     :func:`_signed_bytes`; failures are not cached.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
+    if not perf_config().enabled:
         return _compute_signed_bytes(msg)
     return _SIGNED_BYTES_MEMO.get(msg, _compute_signed_bytes)
 
@@ -167,8 +166,7 @@ def certify(
             keys.certificate,
         )
     )
-    cfg = perf_config()
-    if cfg.enabled and cfg.canonical_cache:
+    if perf_config().enabled:
         # the sender already paid for the signed-body encoding; seed the
         # memo so no verifier of this object ever recomputes it
         _SIGNED_BYTES_MEMO.put(msg, body)
@@ -180,8 +178,7 @@ def prime_parsed(wire: tuple, msg: CertifiedMessage) -> None:
     flooded, ``msg`` its already-parsed certified form.  Sound because a
     ``CertifiedMessage`` *is* its tuple — parsing ``wire`` from scratch
     would reproduce ``msg`` element for element."""
-    cfg = perf_config()
-    if cfg.enabled and cfg.canonical_cache:
+    if perf_config().enabled:
         _PARSE_MEMO.put(wire, msg)
 
 
@@ -196,8 +193,7 @@ _MAX_ASSERTION_BYTES = 4096
 
 def _compute_cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
     key_repr = scheme.key_repr(msg.verify_key)
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
+    if not perf_config().enabled:
         assertion = certificate_assertion(msg.source, msg.unit, key_repr)
         return pds_message_bytes(assertion, msg.unit)
     try:
@@ -223,8 +219,7 @@ def _cert_bytes_for(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
     Raises ``TypeError`` for foreign key objects, like
     ``scheme.key_repr``; failures are not cached.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
+    if not perf_config().enabled:
         return _compute_cert_bytes(scheme, msg)
     entry = _CERT_BYTES_MEMO.get(
         msg, lambda m: (scheme, _compute_cert_bytes(scheme, m))
@@ -382,18 +377,14 @@ def _resolve_checks(
     cache_keys: list[Any] = [None] * len(checks)
     batchable: dict[Any, list[int]] = {}
     singles: list[int] = []
-    cfg = perf_config()
+    batching = perf_config().enabled
     for index, (check_scheme, verify_key, message, signature) in enumerate(checks):
         bucket_key, cached = lookup_verify(check_scheme, verify_key, message, signature)
         if cached is not None:
             outcomes[index] = cached
             continue
         cache_keys[index] = bucket_key
-        if (
-            cfg.enabled
-            and cfg.batch_verify
-            and isinstance(check_scheme, SchnorrScheme)
-        ):
+        if batching and isinstance(check_scheme, SchnorrScheme):
             batchable.setdefault(check_scheme.group, []).append(index)
         else:
             singles.append(index)
@@ -422,8 +413,7 @@ def _parse(raw: Any) -> CertifiedMessage | None:
     if isinstance(raw, tuple) and len(raw) == 8:
         if isinstance(raw[1], int) and isinstance(raw[2], int) \
                 and isinstance(raw[3], int) and isinstance(raw[4], int):
-            cfg = perf_config()
-            if cfg.enabled and cfg.canonical_cache:
+            if perf_config().enabled:
                 # one flooded tuple object → one CertifiedMessage object,
                 # so the per-message memos above hit on every re-receipt
                 return _PARSE_MEMO.get(raw, CertifiedMessage)

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.perf.cache import canonical_body_key, canonical_key_fn, canonical_probe
-from repro.perf.config import perf_config
+from repro.perf.cache import canonical_body_key, canonical_probe
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
 
@@ -320,18 +319,16 @@ class DisperseService:
         """Strings marked received this round under ``tag``, as
         ``(claimed_source, body)`` — the source is NOT authenticated.
 
-        Callers must treat the result as read-only: with the demux perf
-        flag on, every call for the same tag this round shares one
-        tag-binned list built in a single pass over the receipts.
+        Callers must treat the result as read-only: every call for the
+        same tag this round shares one tag-binned list built in a single
+        pass over the receipts.
         """
-        if perf_config().flag("inbox_demux"):
-            bins = self._receipts_by_tag
-            if bins is None:
-                bins = self._receipts_by_tag = {}
-                for t, src, body in self._current:
-                    bin_ = bins.get(t)
-                    if bin_ is None:
-                        bin_ = bins[t] = []
-                    bin_.append((src, body))
-            return bins.get(tag, [])
-        return [(src, body) for t, src, body in self._current if t == tag]
+        bins = self._receipts_by_tag
+        if bins is None:
+            bins = self._receipts_by_tag = {}
+            for t, src, body in self._current:
+                bin_ = bins.get(t)
+                if bin_ is None:
+                    bin_ = bins[t] = []
+                bin_.append((src, body))
+        return bins.get(tag, [])

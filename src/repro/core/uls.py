@@ -106,7 +106,7 @@ def build_uls_states(
     discarded) global secret.  Runs before the simulation starts, i.e.
     inside the adversary-free set-up phase.
     """
-    rng = random.Random(seed if isinstance(seed, int) else hash(seed))
+    rng = random.Random(seed)  # str seeds hash deterministically, unlike hash()
     public, states = deal_initial_states(group, n=n, threshold=t, rng=rng)
     # reconstruct x once, inside set-up, to issue the unit-0 certificates
     secret = reconstruct_secret(

@@ -157,13 +157,12 @@ def verify_shares_batch(
     dealer gets complained against, which partial emitter gets rejected —
     is identical to the unbatched path.
 
-    With the ``feldman_batch`` flag off (or a batch of size ≤ 1) this is
-    exactly the per-item loop.
+    With the perf layer off (or a batch of size ≤ 1) this is exactly the
+    per-item loop.
     """
     if not items:
         return []
-    cfg = perf_config()
-    if len(items) == 1 or not (cfg.enabled and cfg.feldman_batch):
+    if len(items) == 1 or not perf_config().enabled:
         return [commitment.verify_share(group, share) for commitment, share in items]
     q = group.q
     transcript = tagged_hash(

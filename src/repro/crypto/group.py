@@ -32,6 +32,10 @@ _MAX_BASE_WINDOWS = 16
 #: bound on per-group memoized membership checks
 _MAX_MEMBER_CACHE = 8192
 
+#: smallest modulus (in bits) for which fixed-base windows engage: below
+#: it CPython's C ``pow`` beats any Python-level window walk
+FIXED_BASE_MIN_BITS = 192
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -147,7 +151,7 @@ class SchnorrGroup:
     def base_power(self, exponent: int) -> int:
         """``g ** exponent mod p`` (through the fixed-base window when the
         perf layer is on and the modulus is large enough to profit)."""
-        if self._windows_enabled():
+        if self.windows_enabled():
             window = self._g_window
             if window is None:
                 window = self._g_window = FixedBaseWindow(self.g, self.p, self.q)
@@ -164,7 +168,7 @@ class SchnorrGroup:
         Falls back to :meth:`power` for small groups or when disabled.
         The window pool is bounded; eviction is FIFO.
         """
-        if not self._windows_enabled():
+        if not self.windows_enabled():
             return pow(base, exponent % self.q, self.p)
         window = self._base_windows.get(base)
         if window is None:
@@ -173,13 +177,10 @@ class SchnorrGroup:
             window = self._base_windows[base] = FixedBaseWindow(base, self.p, self.q)
         return window.pow(exponent)
 
-    def _windows_enabled(self) -> bool:
-        cfg = perf_config()
-        return (
-            cfg.enabled
-            and cfg.fixed_base
-            and self.p.bit_length() >= cfg.fixed_base_min_bits
-        )
+    def windows_enabled(self) -> bool:
+        """Whether fixed-base windows engage: perf layer on and a modulus
+        of at least :data:`FIXED_BASE_MIN_BITS` bits."""
+        return perf_config().enabled and self.p.bit_length() >= FIXED_BASE_MIN_BITS
 
     def multiply(self, a: int, b: int) -> int:
         return (a * b) % self.p

@@ -110,8 +110,7 @@ class SchnorrScheme(SignatureScheme):
         exact inputs when the perf layer is on (the threshold protocol
         recomputes the same challenge once per partial signature).
         """
-        cfg = perf_config()
-        if cfg.enabled and cfg.challenge_cache:
+        if perf_config().enabled:
             return _cached_challenge(self.group.q, commitment, y, message)
         return hash_to_int(_CHALLENGE_TAG, self.group.q, commitment, y, message)
 

@@ -575,8 +575,7 @@ class ThresholdSigner:
             key_image = self.state.key_commitment.share_image(group, share_index)
             rhs = group.multiply(nonce_image, group.power(key_image, challenge))
             checkable.append((position, share_index, value, rhs))
-        cfg = perf_config()
-        if len(checkable) >= 2 and cfg.enabled and cfg.partial_batch:
+        if len(checkable) >= 2 and perf_config().enabled:
             q = group.q
             transcript = tagged_hash(
                 _PBATCH_TAG,
@@ -604,8 +603,7 @@ class ThresholdSigner:
         return verdicts
 
     def _try_combine(self, sid: str, session: _Session) -> None:
-        cfg = perf_config()
-        use_memo = cfg.enabled and cfg.partial_batch
+        use_memo = perf_config().enabled
         key_commitment = self.state.key_commitment
         pending: list[tuple[int, tuple[int, ...], int]] = []
         verdicts: dict[int, bool] = {}

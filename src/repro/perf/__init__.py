@@ -1,15 +1,17 @@
 """The performance layer: caches, precomputation and batching.
 
-Everything in this package is *transcript-neutral*: turning any flag on
-or off changes wall-clock time, never protocol behaviour.  The E14
-benchmark (``benchmarks/bench_e14_perf.py``) measures the layer against
-the unoptimized baseline and asserts bit-identical transcripts both ways;
-``docs/PROTOCOLS.md`` §12 states the security argument for each piece.
+Everything in this package except ``msg_volume`` is
+*transcript-neutral*: switching the layer on or off (``enabled``,
+``REPRO_PERF=0``) changes wall-clock time, never protocol behaviour.  The
+E14 benchmark (``benchmarks/bench_e14_perf.py``) measures the layer
+against its reference path and asserts bit-identical transcripts both
+ways; ``docs/PROTOCOLS.md`` §12 states the security argument for each
+piece.
 
 Components:
 
-* :mod:`repro.perf.config` — process-global feature switches
-  (``REPRO_PERF=0`` disables the whole layer);
+* :mod:`repro.perf.config` — the three process-global switches
+  (``enabled``, ``compact_records``, ``msg_volume``);
 * :mod:`repro.perf.cache` — the signature-verification cache and the
   identity-keyed canonical-encoding cache;
 * :mod:`repro.perf.fixed_base` — fixed-base exponentiation windows used

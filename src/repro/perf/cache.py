@@ -47,7 +47,6 @@ __all__ = [
     "CanonicalKeyCache",
     "canonical_body_key",
     "canonical_encoding",
-    "canonical_key_fn",
     "canonical_probe",
 ]
 
@@ -154,8 +153,7 @@ def cached_verify(scheme: Any, verify_key: Any, message: bytes, signature: Any) 
     the security argument); a cached ``False`` is just as valid as a
     cached ``True`` because the key pins the exact signature bytes.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.verify_cache):
+    if not perf_config().enabled:
         return scheme.verify(verify_key, message, signature)
     key_repr = _cacheable_key(scheme, verify_key, signature)
     if key_repr is None:
@@ -179,8 +177,7 @@ def lookup_verify(
     ``None`` on a miss.  Callers that verify through a batch use
     :func:`store_verify` with the returned key afterwards.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.verify_cache):
+    if not perf_config().enabled:
         return None, None
     key_repr = _cacheable_key(scheme, verify_key, signature)
     if key_repr is None:
@@ -266,8 +263,7 @@ def canonical_body_key(body: Any) -> Hashable:
     removes the re-encoding cost for bodies that flow through many relay
     hops and dedup checks per round.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
+    if not perf_config().enabled:
         return _encode_or_repr(body)
     return _CANONICAL.get(body, _encode_or_repr)
 
@@ -289,34 +285,6 @@ def canonical_encoding(body: Any) -> bytes:
     raise TypeError(f"cannot encode {type(body).__name__} for hashing")
 
 
-def canonical_key_fn() -> Callable[[Any], Hashable]:
-    """A resolver bound to the current flag state, for per-round hot loops.
-
-    ``canonical_body_key`` re-reads the perf flags on every call; DISPERSE
-    keys every envelope it touches several times per round, so the flood
-    loop fetches one bound callable per round instead.  The returned
-    function computes byte-identical keys either way; it must not be held
-    across a :func:`repro.perf.config.configure` call.
-    """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return _encode_or_repr
-    entries = _CANONICAL._entries
-    cache = _CANONICAL
-
-    def resolve(body: Any) -> Hashable:
-        entry = entries.get(id(body))
-        if entry is not None and entry[0] is body:
-            cache.hits += 1
-            return entry[1]
-        cache.misses += 1
-        value = _encode_or_repr(body)
-        cache.put(body, value)
-        return value
-
-    return resolve
-
-
 def canonical_probe() -> tuple[dict[int, tuple[Any, Any]], Callable[[Any], Hashable]]:
     """``(entries, miss)`` for loops that inline the memo probe itself.
 
@@ -325,12 +293,11 @@ def canonical_probe() -> tuple[dict[int, tuple[Any, Any]], Callable[[Any], Hasha
     ``miss(body)``, which computes, records and returns the key.  With the
     cache off the returned dict is empty and never written, so every probe
     falls through to a plain computation — same bytes, no memo.  Inlined
-    hits bypass the hit counter (only ``misses`` stays exact); like
-    :func:`canonical_key_fn`, the pair must not be held across a
+    hits bypass the hit counter (only ``misses`` stays exact); the pair is
+    bound to the current flag state and must not be held across a
     ``configure()`` call.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
+    if not perf_config().enabled:
         return {}, _encode_or_repr
 
     def miss(body: Any) -> Hashable:

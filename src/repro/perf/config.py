@@ -1,14 +1,26 @@
 """Global configuration of the performance layer.
 
-Every optimization in :mod:`repro.perf` is *semantics-preserving*: with a
-flag on or off, every protocol produces bit-identical transcripts (the
-caches memoize pure functions under exact keys; fixed-base windows compute
-the same group element; batch verification falls back to individual
-verification whenever a batch fails).  The switches exist so that
+Three settable values remain, each with a reason to exist:
 
-* the E14 benchmark can measure the optimized layer against the
-  unoptimized baseline in the same process, and
-* a debugging session can rule the caches out with ``REPRO_PERF=0``.
+* ``enabled`` (``REPRO_PERF=0`` turns it off) switches the crypto
+  performance layer — verification cache, canonical-encoding memos,
+  challenge memo, fixed-base windows, batched Schnorr / Feldman /
+  partial-signature verification, share-image cache — against its plain
+  reference path.  Both paths produce bit-identical transcripts (the
+  caches memoize pure functions under exact keys; fixed-base windows
+  compute the same group element; batch verification falls back to
+  individual verification whenever a batch fails), so the E14 benchmark
+  measures one against the other in the same process and the CI
+  ``REPRO_PERF=0`` leg runs the whole suite against the reference path.
+* ``compact_records`` is a benchmark-sweep memory mode: round records
+  keep counts instead of envelopes.
+* ``msg_volume`` is the one wire-changing switch (see below); off is the
+  paper-faithful wire path.
+
+The simulation floor (channel-binned inboxes, lazy per-round randomness,
+faithful-plan provenance, zero-copy round records, active-fault indexing)
+and the widened GC threshold are unconditional: they are
+transcript-neutral and carry no semantics of their own.
 
 The configuration is process-global (the simulator is single-threaded);
 worker processes of the parallel benchmark harness each carry their own.
@@ -18,7 +30,7 @@ from __future__ import annotations
 
 import gc
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 __all__ = [
@@ -34,37 +46,11 @@ __all__ = [
 class PerfConfig:
     """Feature switches of the performance layer.
 
-    ``enabled`` is the master switch: when False every other flag reads as
-    off.  ``fixed_base_min_bits`` gates the fixed-base windows — below
-    that modulus size CPython's C ``pow`` beats any Python-level window
-    walk, so the windows only engage for realistically-sized groups.
+    ``enabled`` is the master switch: when False the crypto layer runs its
+    reference path and every other flag reads as off.
     """
 
     enabled: bool = True
-    verify_cache: bool = True
-    canonical_cache: bool = True
-    challenge_cache: bool = True
-    fixed_base: bool = True
-    batch_verify: bool = True
-    feldman_batch: bool = True
-    partial_batch: bool = True
-    share_image_cache: bool = True
-    gc_tuning: bool = True
-    fixed_base_min_bits: int = 192
-    # -- the simulation-floor layer (crypto-free hot paths) ------------------
-    #: per-round channel-binned inbox views and tag-binned DISPERSE receipts
-    inbox_demux: bool = True
-    #: derive per-node-round randomness only when a program touches ctx.rng
-    lazy_rng: bool = True
-    #: trust FaithfulPlan provenance to skip the regroup-and-compare of
-    #: _plan_is_faithful and the per-envelope plan sanitation
-    faithful_fastpath: bool = True
-    #: RoundRecord.delivered shares the delivery plan's lists instead of
-    #: re-materializing per-receiver tuples every round
-    zero_copy_records: bool = True
-    #: FaultInjectionAdversary indexes round-active faults and passes
-    #: faithful plans through untouched on fault-free rounds
-    fault_index: bool = True
     #: benchmark-sweep mode: round records keep counts, not envelopes
     #: (off by default — analyses that read record.sent need full records)
     compact_records: bool = False
@@ -92,19 +78,10 @@ _CLEARERS: list[Callable[[], None]] = []
 # Flood-style rounds allocate hundreds of thousands of envelopes and wire
 # tuples per run; nearly all die by refcount, but every generation-0 pass
 # still walks the live tail of that churn, and at E8 scale the walks cost
-# more than the protocol's own Python work.  ``gc_tuning`` widens the
-# gen-0 threshold so cycle collection runs ~300x less often — collection
-# never affects semantics, only when the (rare, long-lived) cycles are
-# reclaimed, so the flag is transcript-neutral like every other one.
-_GC_DEFAULT_THRESHOLD = gc.get_threshold()
-_GC_TUNED_THRESHOLD = (200_000, 50, 25)
-
-
-def _apply_gc_policy() -> None:
-    if _CONFIG.enabled and _CONFIG.gc_tuning:
-        gc.set_threshold(*_GC_TUNED_THRESHOLD)
-    else:
-        gc.set_threshold(*_GC_DEFAULT_THRESHOLD)
+# more than the protocol's own Python work.  A wide gen-0 threshold makes
+# cycle collection run ~300x less often — collection never affects
+# semantics, only when the (rare, long-lived) cycles are reclaimed.
+gc.set_threshold(200_000, 50, 25)
 
 
 def perf_config() -> PerfConfig:
@@ -127,19 +104,19 @@ def clear_all_caches() -> None:
         fn()
 
 
-def configure(enabled: bool | None = None, **flags: bool | int) -> PerfConfig:
+def configure(enabled: bool | None = None, **flags: bool) -> PerfConfig:
     """Flip performance flags at runtime; clears all caches so that a
     newly disabled flag leaves no warm state behind (and a benchmark's
-    "off" measurement is genuinely cold)."""
+    "off" measurement is genuinely cold).  Unknown names — including the
+    per-mechanism switches folded into ``enabled`` — raise
+    ``AttributeError``."""
+    known = {field.name for field in fields(PerfConfig)}
+    for name in flags:
+        if name not in known:
+            raise AttributeError(f"unknown perf flag {name!r}")
     if enabled is not None:
         _CONFIG.enabled = bool(enabled)
     for name, value in flags.items():
-        if not hasattr(_CONFIG, name):
-            raise AttributeError(f"unknown perf flag {name!r}")
         setattr(_CONFIG, name, value)
-    _apply_gc_policy()
     clear_all_caches()
     return _CONFIG
-
-
-_apply_gc_policy()

@@ -20,8 +20,9 @@ top of exactness: the bucket key pins the exact element vector, so a
 stale bucket is unreachable by construction; invalidation keeps the
 cache from carrying dead weight (and dead window tables) across units.
 
-For groups large enough that ``PerfConfig.fixed_base_min_bits`` engages
-(never the toy 64-bit test group), each bucket also lazily builds one
+For groups large enough that fixed-base windows engage (at least
+:data:`repro.crypto.group.FIXED_BASE_MIN_BITS` bits — never the toy
+64-bit test group), each bucket also lazily builds one
 :class:`~repro.perf.fixed_base.FixedBaseWindow` per commitment element,
 so commitment evaluation at a fresh ``x`` costs table lookups instead of
 full ``pow`` calls.  The windows live *inside* the rotation bucket and
@@ -109,12 +110,7 @@ class ShareImageCache:
         return value
 
     def _compute(self, group, elements: tuple[int, ...], x: int, bucket: _Bucket) -> int:
-        cfg = perf_config()
-        if not (
-            cfg.enabled
-            and cfg.fixed_base
-            and group.p.bit_length() >= cfg.fixed_base_min_bits
-        ):
+        if not group.windows_enabled():
             return _plain_image(group, elements, x)
         if bucket.windows is None:
             bucket.windows = [
@@ -169,8 +165,7 @@ def share_image_cache() -> ShareImageCache:
 
 def share_image_value(group, elements: tuple[int, ...], x: int) -> int:
     """``Π elements[k]^{x^k}`` through the cache when the perf layer is on."""
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.share_image_cache):
+    if not perf_config().enabled:
         return _plain_image(group, elements, x)
     return _SHARE_IMAGES.image(group, elements, x)
 

@@ -48,8 +48,7 @@ class FaithfulPlan(dict):
 
     The runner's accounting treats a ``FaithfulPlan`` whose ``source`` is
     the round's sent traffic as proven faithful (Definition 4 holds per
-    construction) and skips the full regroup-and-compare — one of the
-    simulation-floor optimizations (``PerfConfig.faithful_fastpath``).
+    construction) and skips the full regroup-and-compare.
 
     Contract: holders must treat the plan and its lists as **read-only**.
     Code that wants to edit a faithful plan must build its own ``dict``
@@ -108,20 +107,15 @@ class AdversaryApi:
         self,
         nodes: list["Node"],
         info: RoundInfo,
-        rng: random.Random | Callable[[], random.Random],
+        rng: Callable[[], random.Random],
     ) -> None:
         self._nodes = nodes
         self.info = info
-        # ``rng`` may be a zero-arg factory (the runner's lazy_rng mode):
-        # deriving a PRF-seeded Random per round is measurable at the
-        # simulation floor, and most adversaries never draw from it.  The
-        # stream is identical whenever it is actually used.
-        if callable(rng):
-            self._rng = None
-            self._rng_factory = rng
-        else:
-            self._rng = rng
-            self._rng_factory = None
+        # ``rng`` is a zero-arg factory: deriving a PRF-seeded Random per
+        # round is measurable at the simulation floor, and most
+        # adversaries never draw from it
+        self._rng: random.Random | None = None
+        self._rng_factory = rng
         self.n = len(nodes)
         self.injected: list[Envelope] = []
         self.break_events: list[tuple[int, str]] = []  # (node, "break"/"leave")

@@ -15,8 +15,9 @@ the send/output effectors.
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Callable
 
 from repro.sim.clock import Phase, RoundInfo
 from repro.sim.messages import Envelope
@@ -33,17 +34,11 @@ _NO_INBOX: list[Envelope] = []
 class NodeContext:
     """Per-round execution context for one node (see module docstring).
 
-    ``rng`` may be either a ready ``random.Random`` or a zero-arg factory
-    for one: deriving the paper's ``r_{i,w}`` costs a PRF evaluation plus
-    a ``Random`` construction per node per round, which dominates
-    crypto-free workloads whose programs never draw randomness.  The
-    factory is invoked (once) on first access, so the stream any program
-    actually sees is identical either way.
-
-    ``inbox`` optionally binds the round's delivered messages, enabling
-    :meth:`channel_view` — the shared per-channel demultiplexer that lets
-    every sub-protocol of a multiplexing program read only its own
-    channel instead of re-scanning the whole inbox.
+    ``rng`` is a zero-arg factory for the paper's ``r_{i,w}`` (a
+    ``random.Random``), or None for contexts that never draw: deriving it
+    costs a PRF evaluation plus a ``Random`` construction per node per
+    round, which dominates crypto-free workloads whose programs never draw
+    randomness.  The factory is invoked (once) on first access.
     """
 
     def __init__(
@@ -51,31 +46,24 @@ class NodeContext:
         node_id: int,
         n: int,
         info: RoundInfo,
-        rng: Any,
+        rng: Callable[[], random.Random] | None,
         rom: Rom,
         external_inputs: list[Any],
-        inbox: list[Envelope] | None = None,
-        demux: bool = False,
     ) -> None:
         self.node_id = node_id
         self.n = n
         self.info = info
-        if callable(rng):
-            self._rng = None
-            self._rng_factory = rng
-        else:
-            self._rng = rng
-            self._rng_factory = None
+        self._rng: random.Random | None = None
+        self._rng_factory = rng
         self.rom = rom
         self.external_inputs = external_inputs
-        self.inbox = _NO_INBOX if inbox is None else inbox
-        self._demux = demux
-        self._bins: dict[str, list[Envelope]] | None = None
+        self._binned: list[Envelope] | None = None
+        self._bins: dict[str, list[Envelope]] = {}
         self.outbox: list[Envelope] = []
         self.outputs: list[Any] = []
 
     @property
-    def rng(self) -> Any:
+    def rng(self) -> random.Random | None:
         rng = self._rng
         if rng is None and self._rng_factory is not None:
             rng = self._rng = self._rng_factory()
@@ -86,23 +74,23 @@ class NodeContext:
     def channel_view(self, inbox: list[Envelope], channel: str) -> list[Envelope]:
         """The envelopes of ``inbox`` on ``channel``, in arrival order.
 
-        When ``inbox`` is this round's bound inbox and demultiplexing is
-        on, the answer comes from per-channel bins built in one pass on
-        first use (every consumer shares them); otherwise it is a plain
-        scan.  Either way the result is the exact order-preserving filter
-        — callers must treat the returned list as read-only.
+        The shared per-channel demultiplexer: the first call for an inbox
+        bins it by channel in one pass, and every sub-protocol of a
+        multiplexing program then reads only its own channel instead of
+        re-scanning the whole inbox.  The result is the exact
+        order-preserving filter — callers must treat the returned list
+        (and ``inbox``) as read-only.
         """
-        if self._demux and inbox is self.inbox:
-            bins = self._bins
-            if bins is None:
-                bins = self._bins = {}
-                for envelope in inbox:
-                    bin_ = bins.get(envelope.channel)
-                    if bin_ is None:
-                        bin_ = bins[envelope.channel] = []
-                    bin_.append(envelope)
-            return bins.get(channel, _NO_INBOX)
-        return [envelope for envelope in inbox if envelope.channel == channel]
+        if inbox is not self._binned:
+            bins: dict[str, list[Envelope]] = {}
+            for envelope in inbox:
+                bin_ = bins.get(envelope.channel)
+                if bin_ is None:
+                    bin_ = bins[envelope.channel] = []
+                bin_.append(envelope)
+            self._bins = bins
+            self._binned = inbox
+        return self._bins.get(channel, _NO_INBOX)
 
     # -- effectors ---------------------------------------------------------
 

@@ -1,5 +1,10 @@
 """End-to-end tests of the ULS scheme (§4.2, Theorem 14)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.adversary.limits import audit_st_limited
@@ -241,3 +246,36 @@ def test_link_faults_within_limits_are_tolerated():
     assert programs[0].state.share_is_valid()
     for i in range(1, N):
         assert dict(programs[i].keystore.history) == {1: "ok", 2: "ok"}
+
+
+_STRING_SEED_SETUP = """
+from repro.core.uls import build_uls_states
+from repro.crypto.group import named_group
+from repro.crypto.schnorr import SchnorrScheme
+group = named_group("toy64")
+public, _, keys = build_uls_states(group, SchnorrScheme(group), 5, 2, seed="abc")
+print(public.public_key)
+print(repr(keys[0].certificate))
+"""
+
+
+def test_string_seed_gives_same_keys_in_every_process():
+    """A ``str`` seed must not go through the per-process salted
+    ``hash()``: two interpreters with different hash seeds deal the same
+    public key and the same unit-0 certificates."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", _STRING_SEED_SETUP],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(result.stdout.splitlines())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 2 and outputs[0][0].isdigit()

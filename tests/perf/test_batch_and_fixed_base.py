@@ -10,9 +10,10 @@ import random
 
 import pytest
 
+from repro.crypto import group as group_module
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature, scheme_for_group
-from repro.perf import FixedBaseWindow, configure
+from repro.perf import FixedBaseWindow
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -117,10 +118,10 @@ def test_window_widths_agree(width):
         assert window.pow(e) == pow(GROUP.g, e, GROUP.p)
 
 
-def test_group_uses_windows_when_forced(perf):
+def test_group_uses_windows_when_forced(perf, monkeypatch):
     """Force-enable windows for the toy group (normally gated to >=192-bit
     moduli) and check base_power/fixed_power still agree with pow."""
-    configure(fixed_base_min_bits=1)
+    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
     rng = random.Random(88)
     y = GROUP.base_power(rng.randrange(1, GROUP.q))
     for _ in range(50):
@@ -131,11 +132,11 @@ def test_group_uses_windows_when_forced(perf):
     assert y in GROUP._base_windows
 
 
-def test_verify_unchanged_with_windows_forced(perf):
+def test_verify_unchanged_with_windows_forced(perf, monkeypatch):
     rng = random.Random(99)
     pair = SCHEME.generate(rng)
     sig = SCHEME.sign(pair.signing_key, b"windowed")
     assert SCHEME.verify(pair.verify_key, b"windowed", sig)
-    configure(fixed_base_min_bits=1)
+    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
     assert SCHEME.verify(pair.verify_key, b"windowed", sig)
     assert not SCHEME.verify(pair.verify_key, b"other", sig)

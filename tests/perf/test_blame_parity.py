@@ -93,9 +93,9 @@ def _drive_zero_deals() -> tuple[set, dict]:
 
 
 def test_zero_deal_blame_deterministic(perf):
-    configure(enabled=True, feldman_batch=True)
+    configure(enabled=True)
     rejected_on, dealings_on = _drive_zero_deals()
-    configure(enabled=True, feldman_batch=False)
+    configure(enabled=False)
     rejected_off, dealings_off = _drive_zero_deals()
 
     # exact blame either way: dealer 3 forged its sub-share, dealer 4

@@ -13,6 +13,7 @@ import random
 
 from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
+from repro.crypto import group as group_module
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.perf import configure
@@ -91,24 +92,26 @@ def _assert_same_execution(left, right):
     assert left.adversary_output == right.adversary_output
 
 
-def test_perf_layer_is_transcript_neutral_benign(perf):
+def test_perf_layer_is_transcript_neutral_benign(perf, monkeypatch):
     # msg_volume is pinned off on both sides: it is the one flag that is
     # *not* transcript-neutral by design (outcome-level parity instead,
     # see test_msg_volume.py) — and enabled=False would mask it anyway
-    configure(enabled=True, fixed_base_min_bits=1, msg_volume=False)
+    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
+    configure(enabled=True, msg_volume=False)
     optimized = _run_uls(PassiveAdversary)
     configure(enabled=False, msg_volume=False)
     baseline = _run_uls(PassiveAdversary)
     _assert_same_execution(optimized, baseline)
 
 
-def test_perf_layer_is_transcript_neutral_under_attack(perf):
+def test_perf_layer_is_transcript_neutral_under_attack(perf, monkeypatch):
     def adversary():
         return MobileBreakInAdversary(
             BreakinPlan(victims={1: frozenset({2}), 2: frozenset({4})})
         )
 
-    configure(enabled=True, fixed_base_min_bits=1, msg_volume=False)
+    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
+    configure(enabled=True, msg_volume=False)
     optimized = _run_uls(adversary)
     configure(enabled=False, msg_volume=False)
     baseline = _run_uls(adversary)

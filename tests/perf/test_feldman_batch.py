@@ -3,7 +3,7 @@
 The batch equation must answer exactly what the per-item loop answers:
 all-True for honest batches, and — via the per-item fallback — the exact
 same verdict vector when anything in the batch is forged, so blame
-attribution is identical with the ``feldman_batch`` flag on or off.
+attribution is identical with the perf layer on or off.
 """
 
 import random
@@ -84,9 +84,9 @@ def test_flag_off_matches_flag_on(perf):
         items[4] = forge_commitment(items[4])
         return items
 
-    configure(enabled=True, feldman_batch=True)
+    configure(enabled=True)
     batched = verify_shares_batch(GROUP, build())
-    configure(enabled=True, feldman_batch=False)
+    configure(enabled=False)
     unbatched = verify_shares_batch(GROUP, build())
     assert batched == unbatched == [True, False, True, True, False, True]
 

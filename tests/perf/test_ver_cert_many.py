@@ -2,8 +2,9 @@
 
 The batched entry point is the transport hot path; these tests drive it
 with mixed batches — valid messages, forgeries, replays, garbage — and
-compare index-by-index against the sequential reference, under every
-perf-flag combination that changes its code path.
+compare index-by-index against the sequential reference, with the perf
+layer off and on, and with each of its two accelerators (the
+verification cache, the batch equation) knocked out in turn.
 """
 
 import random
@@ -14,7 +15,7 @@ from repro.core.certify import certify, ver_cert, ver_cert_many
 from repro.core.uls import build_uls_states
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature
-from repro.perf import clear_all_caches, configure
+from repro.perf import clear_all_caches, configure, verification_cache
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -77,23 +78,36 @@ def _sequential(setup, items):
     ]
 
 
-FLAG_SETS = [
-    pytest.param(dict(enabled=False), id="perf-off"),
-    pytest.param(dict(enabled=True), id="perf-on"),
-    pytest.param(dict(enabled=True, batch_verify=False), id="cache-only"),
-    pytest.param(dict(enabled=True, verify_cache=False), id="batch-only"),
+def _cache_only(monkeypatch):
+    """Perf layer on, but every batch equation fails, so each member goes
+    through the per-item (cached) fallback."""
+    configure(enabled=True)
+    monkeypatch.setattr(SchnorrScheme, "batch_verify", lambda self, items: False)
+
+
+def _batch_only(monkeypatch):
+    """Perf layer on, but the verification cache keeps nothing."""
+    configure(enabled=True)
+    monkeypatch.setattr(verification_cache(), "max_keys", 0)
+
+
+MODES = [
+    pytest.param(lambda _mp: configure(enabled=False), id="perf-off"),
+    pytest.param(lambda _mp: configure(enabled=True), id="perf-on"),
+    pytest.param(_cache_only, id="cache-only"),
+    pytest.param(_batch_only, id="batch-only"),
 ]
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS)
-def test_matches_sequential(perf, setup, flags):
+@pytest.mark.parametrize("mode", MODES)
+def test_matches_sequential(perf, setup, mode, monkeypatch):
     public, _, _ = setup
     items = _mixed_items(setup)
 
     configure(enabled=False)  # reference pass: plain verifier, no caches
     expected = _sequential(setup, items)
 
-    configure(**flags)
+    mode(monkeypatch)
     batched = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,
                             expected_round=7, items=items)
 
@@ -105,14 +119,14 @@ def test_matches_sequential(perf, setup, flags):
             assert got == want
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS)
-def test_matches_sequential_warm_cache(perf, setup, flags):
+@pytest.mark.parametrize("mode", MODES)
+def test_matches_sequential_warm_cache(perf, setup, mode, monkeypatch):
     """Same comparison with a pre-warmed cache (second identical round)."""
     public, _, _ = setup
     items = _mixed_items(setup)
     configure(enabled=False)
     expected = _sequential(setup, items)
-    configure(**flags)
+    mode(monkeypatch)
     first = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,
                           expected_round=7, items=items)
     second = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,

@@ -117,7 +117,7 @@ def test_failed_rollover_still_invalidates(perf):
 def test_cache_disabled_bypasses_everything(perf, pair):
     from repro.perf import configure
 
-    configure(verify_cache=False)
+    configure(enabled=False)
     cache = verification_cache()
     sig = SCHEME.sign(pair.signing_key, b"msg")
     assert cached_verify(SCHEME, pair.verify_key, b"msg", sig)
