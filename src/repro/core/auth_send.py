@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.certify import CertifiedMessage, certify, prime_parsed, ver_cert_many
+from repro.core.certify import CertifiedMessage, certify, ver_cert_many
 from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore
 from repro.pds.keys import PdsPublic
@@ -132,9 +132,7 @@ class AuthSendTransport(Transport):
         if msg is None:
             return
         self.sent_count += 1
-        wire = tuple(msg)
-        prime_parsed(wire, msg)  # receivers parse the same object we flood
-        self.disperse.send(ctx, receiver, wire, tag=self.tag)
+        self.disperse.send(ctx, receiver, msg, tag=self.tag)
 
     def send_broadcast(self, ctx: NodeContext, body: Any) -> None:
         """One certificate, one flood, every node accepts.
@@ -156,9 +154,7 @@ class AuthSendTransport(Transport):
         if msg is None:
             return
         self.sent_count += 1
-        wire = tuple(msg)
-        prime_parsed(wire, msg)
-        self.disperse.broadcast(ctx, wire, tag=self.tag)
+        self.disperse.broadcast(ctx, msg, tag=self.tag)
 
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:
         """Round-wide send; under the volume layer a single broadcast

@@ -16,6 +16,7 @@ A message passing all three is *properly certified* (Definition 17(a)).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Sequence
 
 from repro.crypto.hashing import encode_for_hash
@@ -25,7 +26,6 @@ from repro.core.keystore import LocalKeys, certificate_assertion
 from repro.pds.keys import PdsPublic
 from repro.pds.threshold_schnorr import pds_message_bytes, verify_pds_signature_bytes
 from repro.perf.cache import (
-    CanonicalKeyCache,
     cached_verify,
     canonical_encoding,
     lookup_verify,
@@ -37,7 +37,6 @@ from repro.perf.volume import BROADCAST
 __all__ = [
     "CertifiedMessage",
     "certify",
-    "prime_parsed",
     "ver_cert",
     "ver_cert_many",
     "verify_certified_body",
@@ -45,10 +44,12 @@ __all__ = [
 
 
 class CertifiedMessage(tuple):
-    """The tuple ``⟨m, i, j, u, w, σ, v, cert⟩`` of Fig. 3 (a thin subclass
-    for readability; stays a plain tuple on the wire)."""
+    """The tuple ``⟨m, i, j, u, w, σ, v, cert⟩`` of Fig. 3.
 
-    __slots__ = ()
+    Honest senders put this object itself on the wire, so every relay and
+    receiver of one flood holds the same instance and shares its
+    :attr:`signed_bytes`.  Encodes exactly like the plain tuple.
+    """
 
     @property
     def message(self) -> Any:
@@ -82,6 +83,12 @@ class CertifiedMessage(tuple):
     def certificate(self) -> Any:
         return self[7]
 
+    @cached_property
+    def signed_bytes(self) -> bytes:
+        """The bytes σ signs — derived from this object's own fields only.
+        Raises ``TypeError`` for unencodable payloads (not cached)."""
+        return _signed_bytes(self.message, self.source, self.destination, self.unit, self.round)
+
 
 # encode_for_hash of a 6-tuple = list header + the six element encodings
 # concatenated; the first element is always the literal "auth-msg" tag.
@@ -102,38 +109,6 @@ def _signed_bytes(message: Any, source: int, destination: int, unit: int, round_
             encode_for_hash(round_w),
         )
     )
-
-
-# DISPERSE floods hand the *same* certified tuple object to every relay
-# and receiver, and PARTIAL-AGREEMENT re-disperses raw tuples wholesale —
-# so the parse, the signed-body encoding and the certificate-assertion
-# encoding of one message are recomputed many times per round.  All three
-# are memoized by tuple identity (exact: same object, same result).  The
-# parse memo is what makes the downstream memos effective: it hands every
-# caller of the same raw tuple the same CertifiedMessage object.
-_PARSE_MEMO = CanonicalKeyCache(maxsize=8192)
-register_cache_clearer(_PARSE_MEMO.clear)
-
-_SIGNED_BYTES_MEMO = CanonicalKeyCache(maxsize=8192)
-register_cache_clearer(_SIGNED_BYTES_MEMO.clear)
-
-_CERT_BYTES_MEMO = CanonicalKeyCache(maxsize=8192)
-register_cache_clearer(_CERT_BYTES_MEMO.clear)
-
-
-def _compute_signed_bytes(msg: "CertifiedMessage") -> bytes:
-    return _signed_bytes(msg.message, msg.source, msg.destination, msg.unit, msg.round)
-
-
-def _signed_bytes_for(msg: "CertifiedMessage") -> bytes:
-    """Signed-body bytes of a parsed certified message (memoized).
-
-    Raises ``TypeError`` for unencodable message payloads, exactly like
-    :func:`_signed_bytes`; failures are not cached.
-    """
-    if not perf_config().enabled:
-        return _compute_signed_bytes(msg)
-    return _SIGNED_BYTES_MEMO.get(msg, _compute_signed_bytes)
 
 
 def certify(
@@ -166,20 +141,9 @@ def certify(
             keys.certificate,
         )
     )
-    if perf_config().enabled:
-        # the sender already paid for the signed-body encoding; seed the
-        # memo so no verifier of this object ever recomputes it
-        _SIGNED_BYTES_MEMO.put(msg, body)
+    # ``body`` was built from exactly the fields just stored in ``msg``
+    msg.__dict__["signed_bytes"] = body
     return msg
-
-
-def prime_parsed(wire: tuple, msg: CertifiedMessage) -> None:
-    """Seed the parse memo: ``wire`` is the plain tuple about to be
-    flooded, ``msg`` its already-parsed certified form.  Sound because a
-    ``CertifiedMessage`` *is* its tuple — parsing ``wire`` from scratch
-    would reproduce ``msg`` element for element."""
-    if perf_config().enabled:
-        _PARSE_MEMO.put(wire, msg)
 
 
 #: (source, unit, key_repr) -> assertion bytes.  Only ~n*units distinct
@@ -191,42 +155,26 @@ register_cache_clearer(_ASSERTION_BYTES.clear)
 _MAX_ASSERTION_BYTES = 4096
 
 
-def _compute_cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
+def _cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
+    """Canonical bytes of the certificate assertion the PDS must have
+    signed for ``msg`` — a pure function of its source, unit and attached
+    key.  Raises ``TypeError`` for foreign key objects, like
+    ``scheme.key_repr``."""
     key_repr = scheme.key_repr(msg.verify_key)
-    if not perf_config().enabled:
-        assertion = certificate_assertion(msg.source, msg.unit, key_repr)
-        return pds_message_bytes(assertion, msg.unit)
+    table_key = (msg.source, msg.unit, key_repr)
     try:
-        table_key = (msg.source, msg.unit, key_repr)
         cached = _ASSERTION_BYTES.get(table_key)
     except TypeError:  # unhashable key_repr: compute without caching
-        assertion = certificate_assertion(msg.source, msg.unit, key_repr)
-        return pds_message_bytes(assertion, msg.unit)
+        table_key = None
+        cached = None
     if cached is None:
         assertion = certificate_assertion(msg.source, msg.unit, key_repr)
         cached = pds_message_bytes(assertion, msg.unit)
-        if len(_ASSERTION_BYTES) >= _MAX_ASSERTION_BYTES:
-            _ASSERTION_BYTES.clear()
-        _ASSERTION_BYTES[table_key] = cached
+        if table_key is not None and perf_config().enabled:
+            if len(_ASSERTION_BYTES) >= _MAX_ASSERTION_BYTES:
+                _ASSERTION_BYTES.clear()
+            _ASSERTION_BYTES[table_key] = cached
     return cached
-
-
-def _cert_bytes_for(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
-    """Canonical bytes of the certificate assertion the PDS must have
-    signed for ``msg`` — a pure function of the message's own fields
-    (source, unit, attached key), memoized by message identity.
-
-    Raises ``TypeError`` for foreign key objects, like
-    ``scheme.key_repr``; failures are not cached.
-    """
-    if not perf_config().enabled:
-        return _compute_cert_bytes(scheme, msg)
-    entry = _CERT_BYTES_MEMO.get(
-        msg, lambda m: (scheme, _compute_cert_bytes(scheme, m))
-    )
-    if entry[0] is scheme:
-        return entry[1]
-    return _compute_cert_bytes(scheme, msg)
 
 
 def _check_certificate(
@@ -234,7 +182,7 @@ def _check_certificate(
 ) -> bool:
     """Step 2 of VER-CERT: the attached key is certified for (i, u)."""
     try:
-        cert_bytes = _cert_bytes_for(scheme, msg)
+        cert_bytes = _cert_bytes(scheme, msg)
     except TypeError:
         return False
     return verify_pds_signature_bytes(public, cert_bytes, msg.certificate)
@@ -270,7 +218,7 @@ def ver_cert(
         return None
     # step 3: message signature
     try:
-        body = _signed_bytes_for(msg)
+        body = msg.signed_bytes
     except TypeError:
         return None
     if not cached_verify(scheme, msg.verify_key, body, msg.signature):
@@ -300,7 +248,7 @@ def verify_certified_body(
     if not _check_certificate(scheme, public, msg):
         return None
     try:
-        body = _signed_bytes_for(msg)
+        body = msg.signed_bytes
     except TypeError:
         return None
     if not cached_verify(scheme, msg.verify_key, body, msg.signature):
@@ -350,8 +298,8 @@ def ver_cert_many(
         if msg.unit != expected_unit or msg.round != expected_round:
             continue
         try:
-            cert_bytes = _cert_bytes_for(scheme, msg)
-            body = _signed_bytes_for(msg)
+            cert_bytes = _cert_bytes(scheme, msg)
+            body = msg.signed_bytes
         except TypeError:
             continue
         cert_check = len(checks)
@@ -408,14 +356,15 @@ def _resolve_checks(
 
 
 def _parse(raw: Any) -> CertifiedMessage | None:
+    """The one well-formedness gate for wire input: an 8-tuple with int
+    source, destination, unit and round.  A ``CertifiedMessage`` passes
+    through as itself (its bytes come from its own fields); a plain tuple
+    is wrapped fresh."""
+    if not (isinstance(raw, tuple) and len(raw) == 8):
+        return None
+    if not (isinstance(raw[1], int) and isinstance(raw[2], int)
+            and isinstance(raw[3], int) and isinstance(raw[4], int)):
+        return None
     if isinstance(raw, CertifiedMessage):
         return raw
-    if isinstance(raw, tuple) and len(raw) == 8:
-        if isinstance(raw[1], int) and isinstance(raw[2], int) \
-                and isinstance(raw[3], int) and isinstance(raw[4], int):
-            if perf_config().enabled:
-                # one flooded tuple object → one CertifiedMessage object,
-                # so the per-message memos above hit on every re-receipt
-                return _PARSE_MEMO.get(raw, CertifiedMessage)
-            return CertifiedMessage(raw)
-    return None
+    return CertifiedMessage(raw)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.core.auth_send import AuthSendTransport
-from repro.core.certify import prime_parsed, verify_certified_body
+from repro.core.certify import verify_certified_body
 from repro.core.disperse import DisperseService
 from repro.perf.cache import canonical_body_key
 from repro.perf.config import perf_config
@@ -180,9 +180,7 @@ class PartialAgreementService:
                     unit=ctx.info.time_unit,
                 )
                 self.sessions[pa_id] = session
-            raw = tuple(accepted.raw)
-            prime_parsed(raw, accepted.raw)  # step-3 receivers re-parse this
-            self._record(session, accepted.sender, value, raw)
+            self._record(session, accepted.sender, value, accepted.raw)
 
     def _ingest_step3(self, ctx: NodeContext) -> None:
         for _claimed_src, body in self.disperse.receipts(_PA3_TAG):

@@ -92,8 +92,6 @@ def encode_for_hash(value: object) -> bytes:
     if isinstance(value, int):
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
         return b"I" + len(raw).to_bytes(8, "big") + raw
-    if value is None:
-        return b"N"
     if isinstance(value, (tuple, list)):
         parts = [encode_for_hash(item) for item in value]
         body = b"".join(parts)

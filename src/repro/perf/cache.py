@@ -230,9 +230,8 @@ class CanonicalKeyCache:
         return value
 
     def put(self, obj: Any, value: Any) -> None:
-        """Seed the memo with a value the caller just computed (e.g. the
-        sender priming the parse memo for the wire tuple it is about to
-        flood, so receivers never recompute it)."""
+        """Record ``value`` for ``obj``, evicting the oldest entries past
+        ``maxsize``."""
         self._entries[id(obj)] = (obj, value)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

@@ -3,15 +3,18 @@
 Three settable values remain, each with a reason to exist:
 
 * ``enabled`` (``REPRO_PERF=0`` turns it off) switches the crypto
-  performance layer — verification cache, canonical-encoding memos,
-  challenge memo, fixed-base windows, batched Schnorr / Feldman /
-  partial-signature verification, share-image cache — against its plain
-  reference path.  Both paths produce bit-identical transcripts (the
-  caches memoize pure functions under exact keys; fixed-base windows
-  compute the same group element; batch verification falls back to
-  individual verification whenever a batch fails), so the E14 benchmark
-  measures one against the other in the same process and the CI
-  ``REPRO_PERF=0`` leg runs the whole suite against the reference path.
+  performance layer — verification cache, canonical dedup-key memo,
+  certificate-assertion table, challenge memo, fixed-base windows,
+  batched Schnorr / Feldman / partial-signature verification,
+  share-image cache — against its plain reference path.  (A certified
+  message's ``signed_bytes`` belongs to the message, a pure function of
+  its fields, and is not switched.)  Both paths produce bit-identical
+  transcripts (the caches memoize pure functions under exact keys;
+  fixed-base windows compute the same group element; batch verification
+  falls back to individual verification whenever a batch fails), so the
+  E14 benchmark measures one against the other in the same process and
+  the CI ``REPRO_PERF=0`` leg runs the whole suite against the reference
+  path.
 * ``compact_records`` is a benchmark-sweep memory mode: round records
   keep counts instead of envelopes.
 * ``msg_volume`` is the one wire-changing switch (see below); off is the

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro.core.certify import certify, ver_cert, verify_certified_body
+from repro.core.certify import (
+    CertifiedMessage,
+    _signed_bytes,
+    certify,
+    ver_cert,
+    ver_cert_many,
+    verify_certified_body,
+)
 from repro.core.keystore import KeyStore, LocalKeys, certificate_assertion
 from repro.core.uls import build_uls_states
 from repro.crypto.group import named_group
@@ -72,6 +79,35 @@ def test_reject_tampered_message(setup):
     msg[0] = ("tampered",)
     assert ver_cert(SCHEME, public, receiver=1, alleged_source=0,
                     expected_unit=0, expected_round=7, raw=tuple(msg)) is None
+
+
+def test_signed_bytes_derive_from_own_fields(setup):
+    msg = make_msg(setup, message=("own",), round_w=9)
+    expected = _signed_bytes(msg.message, msg.source, msg.destination,
+                             msg.unit, msg.round)
+    assert msg.signed_bytes == expected
+    assert CertifiedMessage(tuple(msg)).signed_bytes == expected
+
+
+@pytest.mark.parametrize("wrap", [tuple, CertifiedMessage])
+def test_tampered_copy_rejected_with_warm_state(setup, wrap):
+    """After the honest message has been verified (warm verification
+    cache, honest object's bytes computed), a copy with a changed message
+    and the same signature is still rejected by every VER-CERT entry
+    point — its bytes come from its own fields, never from the original."""
+    public, _, _ = setup
+    honest = make_msg(setup, message=("warm",), round_w=11)
+    assert ver_cert(SCHEME, public, receiver=1, alleged_source=0,
+                    expected_unit=0, expected_round=11, raw=honest) is honest
+    assert ver_cert_many(SCHEME, public, 1, 0, 11, [(0, honest)]) == [honest]
+    assert verify_certified_body(SCHEME, public, expected_unit=0,
+                                 expected_round=11, raw=honest) is honest
+    tampered = wrap((("tampered",),) + tuple(honest)[1:])
+    assert ver_cert(SCHEME, public, receiver=1, alleged_source=0,
+                    expected_unit=0, expected_round=11, raw=tampered) is None
+    assert ver_cert_many(SCHEME, public, 1, 0, 11, [(0, tampered)]) == [None]
+    assert verify_certified_body(SCHEME, public, expected_unit=0,
+                                 expected_round=11, raw=tampered) is None
 
 
 def test_reject_swapped_certificate(setup):
