@@ -46,25 +46,59 @@ def stable_form(value):
     return value
 
 
+def _put_stable(put, value) -> None:
+    """Feed ``repr(stable_form(value))`` to ``put`` piece by piece: tuples,
+    lists and int-keyed dicts are streamed element by element; anything
+    else (an envelope, a set) is one piece."""
+    if isinstance(value, (tuple, list)):
+        put("(")
+        for index, item in enumerate(value):
+            put(", " if index else "")
+            _put_stable(put, item)
+        put(",)" if len(value) == 1 else ")")
+    elif isinstance(value, dict) and value and all(type(k) is int for k in value):
+        # stable_form sorts the pairs by repr; "(k, …" compares as str(k) + ","
+        put("('dict'")
+        for key in sorted(value, key=lambda k: f"{k},"):
+            put(f", ({key}, ")
+            _put_stable(put, value[key])
+            put(")")
+        put(")")
+    else:
+        put(repr(stable_form(value)))
+
+
 def transcript_digest(execution) -> str:
-    """SHA-256 over the full execution transcript in canonical form."""
-    payload = (
-        [
-            (
-                record.info,
-                stable_form(record.sent),
-                stable_form(record.delivered),
-                stable_form(record.broken),
-                stable_form(record.operational),
-                stable_form(record.unreliable_links),
-            )
-            for record in execution.records
-        ],
-        stable_form(execution.system_log),
-        stable_form(execution.node_outputs),
-        stable_form(execution.adversary_output),
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    """SHA-256 over the full execution transcript in canonical form.
+
+    The value is ``sha256(repr(payload))`` of the payload
+    ``([(info, sent, delivered, broken, operational, unreliable_links)
+    per record], system_log, node_outputs, adversary_output)`` in stable
+    form, fed to the hash piece by piece: the whole repr of a large run
+    runs to several GB (E8 at n = 25 with the message-volume layer off),
+    one envelope's does not.
+    """
+    sha = hashlib.sha256()
+
+    def put(text: str) -> None:
+        sha.update(text.encode("utf-8"))
+
+    put("([")
+    for index, record in enumerate(execution.records):
+        put(f", ({record.info!r}, " if index else f"({record.info!r}, ")
+        for value in (record.sent, record.delivered, record.broken, record.operational):
+            _put_stable(put, value)
+            put(", ")
+        _put_stable(put, record.unreliable_links)
+        put(")")
+    put("], ")
+    _put_stable(put, execution.system_log)
+    put(", ")
+    _put_stable(put, execution.node_outputs)
+    put(", ")
+    _put_stable(put, execution.adversary_output)
+    put(")")
+    return sha.hexdigest()
 
 
 def outcome_digest(execution) -> str:

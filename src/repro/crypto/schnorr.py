@@ -107,8 +107,8 @@ class SchnorrScheme(SignatureScheme):
 
         Exposed publicly because the threshold scheme computes the same
         challenge when assembling partial signatures.  Memoized under the
-        exact inputs when the perf layer is on (the threshold protocol
-        recomputes the same challenge once per partial signature).
+        exact inputs when the perf layer is on (every node of a threshold
+        session recomputes the same challenge).
         """
         if perf_config().enabled:
             return _cached_challenge(self.group.q, commitment, y, message)

@@ -24,11 +24,14 @@ One signing session (per message) runs in four transport steps:
    ``k_j = Σ_{d∈QUAL} f_d(j)``.
 
 Partial signatures are *publicly verifiable* against the Feldman
-commitments (``g^{s_j} = nonce_image(j) · key_image(j)^e``), which is what
+commitments (``g^{s_j} = C_QUAL(j) · key_image(j)^e``), which is what
 makes the scheme robust: any ``t + 1`` verified partials interpolate (at
 0) to a standard Schnorr signature ``(R, s)`` verifiable by
 :class:`~repro.crypto.schnorr.SchnorrScheme` under the unchanging public
-key.
+key.  ``C_QUAL = Π_{d∈QUAL} C_d`` is the element-wise product of the
+qualified dealers' commitments: by the Feldman homomorphism its constant
+term is ``R`` and its image at ``j`` is the nonce image
+``g^{k_j}``, so each partial costs one share image, not ``|QUAL|``.
 
 Only nodes that were themselves asked to sign contribute nonces and
 partials, so fewer than ``t + 1`` requests can never produce a signature
@@ -362,6 +365,8 @@ class ThresholdSigner:
         if session is None:
             return
         commitment = FeldmanCommitment(elements=tuple(elements))
+        if commitment.degree_bound != self.state.public.threshold:
+            return
         group = self.state.public.group
         existing = session.dealings.get(dealer)
         if existing is not None and existing.my_share_value is not None:
@@ -484,7 +489,7 @@ class ThresholdSigner:
         group = self.state.public.group
         q = group.q
         nonce_share = sum(session.dealings[d].my_share_value for d in qual) % q
-        commitment_r = self._group_nonce(session, qual)
+        commitment_r = self._qual_commitment(session, qual).public_constant
         challenge = self.scheme.challenge(
             commitment_r, self.state.public.public_key, session.message_bytes
         )
@@ -501,8 +506,14 @@ class ThresholdSigner:
 
     # -- combination --------------------------------------------------------------
 
-    def _group_nonce(self, session: _Session, qual: tuple[int, ...]) -> int:
-        """``R = Π_{d ∈ qual} g^{d_i}`` from the dealers' public constants.
+    def _qual_commitment(
+        self, session: _Session, qual: tuple[int, ...]
+    ) -> FeldmanCommitment:
+        """``C_Q = Π_{d ∈ qual} C_d``, element-wise.  By the Feldman
+        homomorphism ``C_Q.public_constant`` is the group nonce ``R`` and
+        ``C_Q.share_image(j)`` the nonce image ``Π_d g^{f_d(j)}``.  Stored
+        dealings all have degree ``t`` (``_on_deal``/``_on_reveal`` drop
+        others), so the fold never mixes lengths.
 
         Raises on duplicate dealers: a repeated entry would double-count
         that dealer's nonce, yielding an ``R`` no honest partial was
@@ -511,19 +522,13 @@ class ThresholdSigner:
         """
         if len(set(qual)) != len(qual):
             raise ValueError(f"duplicate dealers in qualified set {qual!r}")
-        group = self.state.public.group
-        acc = group.identity
+        public = self.state.public
+        combined = FeldmanCommitment(
+            elements=(public.group.identity,) * (public.threshold + 1)
+        )
         for dealer in qual:
-            acc = group.multiply(acc, session.dealings[dealer].commitment.public_constant)
-        return acc
-
-    def _verify_partial(
-        self, session: _Session, share_index: int, qual: tuple[int, ...], value: int
-    ) -> bool:
-        """Publicly verify one partial: ``g^s == nonce_image(j) · key_image(j)^e``."""
-        return self._verify_partials(
-            _session_id(session.message_bytes), session, [(share_index, qual, value)]
-        )[0]
+            combined = combined.combine(public.group, session.dealings[dealer].commitment)
+        return combined
 
     def _verify_partials(
         self,
@@ -534,11 +539,14 @@ class ThresholdSigner:
         """Per-item verdicts for a batch of ``(share_index, qual, value)``.
 
         Pre-checks run per item in order: an out-of-range evaluation point
-        (``x ≤ 0`` would be the secret constant itself) or a duplicated
-        dealer in the claimed qualified set is rejected with blame; a qual
-        naming dealings we have not (yet) received is rejected *without*
-        blame — the dealings may still arrive.  The surviving equations
-        are checked with one random-linear-combination equation
+        (``x ≤ 0`` would be the secret constant itself), an empty claimed
+        qualified set (``R`` would be the identity) or a duplicated dealer
+        in it is rejected with blame; a qual naming dealings we have not
+        (yet) received is rejected *without* blame — the dealings may
+        still arrive.  Each surviving item's right-hand side is
+        ``C_Q.share_image(j) · key_image(j)^e`` with ``C_Q`` and ``e``
+        built once per distinct qual (:meth:`_qual_commitment`).  The
+        equations are checked with one random-linear-combination equation
         (coefficients by Fiat–Shamir over the whole batch, mirroring
         :meth:`~repro.crypto.schnorr.SchnorrScheme.batch_verify`); on
         batch failure the fallback re-checks each emitter individually, so
@@ -548,7 +556,10 @@ class ThresholdSigner:
             return []
         group = self.state.public.group
         n = self.state.public.n
+        public_key = self.state.public.public_key
         verdicts = [False] * len(items)
+        # qual -> (C_Q, challenge e), built once per distinct qual
+        per_qual: dict[tuple[int, ...], tuple[FeldmanCommitment, int]] = {}
         # (position, share_index, value, rhs = nonce_image * key_image^e)
         checkable: list[tuple[int, int, int, int]] = []
         for position, (share_index, qual, value) in enumerate(items):
@@ -557,21 +568,18 @@ class ThresholdSigner:
             if not (1 <= share_index <= n):
                 self.rejected_partials.add((sid, share_index))
                 continue
-            if len(set(qual)) != len(qual):
+            if not qual or len(set(qual)) != len(qual):
                 self.rejected_partials.add((sid, share_index))
                 continue
             if any(d not in session.dealings for d in qual):
                 continue  # missing dealings: unverifiable for now, no blame
-            commitment_r = self._group_nonce(session, qual)
-            challenge = self.scheme.challenge(
-                commitment_r, self.state.public.public_key, session.message_bytes
-            )
-            nonce_image = group.identity
-            for dealer in qual:
-                nonce_image = group.multiply(
-                    nonce_image,
-                    session.dealings[dealer].commitment.share_image(group, share_index),
-                )
+            if qual not in per_qual:
+                combined = self._qual_commitment(session, qual)
+                per_qual[qual] = (combined, self.scheme.challenge(
+                    combined.public_constant, public_key, session.message_bytes
+                ))
+            combined, challenge = per_qual[qual]
+            nonce_image = combined.share_image(group, share_index)
             key_image = self.state.key_commitment.share_image(group, share_index)
             rhs = group.multiply(nonce_image, group.power(key_image, challenge))
             checkable.append((position, share_index, value, rhs))
@@ -636,7 +644,8 @@ class ThresholdSigner:
             subset = sorted(points)[:needed]
             s_value = field.interpolate_at_zero(subset)
             signature = SchnorrSignature(
-                commitment=self._group_nonce(session, qual), response=s_value
+                commitment=self._qual_commitment(session, qual).public_constant,
+                response=s_value,
             )
             if verify_pds_signature_bytes(self.state.public, session.message_bytes, signature):
                 session.signature = signature

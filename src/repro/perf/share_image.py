@@ -2,11 +2,15 @@
 
 A Feldman commitment ``(g^{a_0}, ..., g^{a_t})`` is evaluated at many
 points over its lifetime: every zero-dealing is checked at the receiver's
-own index, every partial signature is checked at the emitter's index by
-every node, and ``_try_combine`` needs the same images again each round a
-session stays open.  The image ``g^{f(x)} = Π elements[k]^{x^k}`` is a
-pure function of ``(group, elements, x)``, so outcomes are memoized under
-that exact key.
+own index, and every partial signature is checked by every node at the
+emitter's index against the session's combined commitment
+``C_QUAL = Π_{d∈QUAL} C_d`` and the key commitment.  The image
+``g^{f(x)} = Π elements[k]^{x^k}`` is a pure function of
+``(group, elements, x)``, so outcomes are memoized under that exact key.
+One combined vector per signing session keeps the live working set at
+about one bucket per concurrent session (plus the key commitment), well
+inside ``max_buckets``; evaluating each dealer's commitment separately
+would need ``sessions × |QUAL|`` buckets and thrash the LRU from n = 25.
 
 Entries are grouped into one *bucket per commitment* (the rotation
 bucket: a refreshed key has a new commitment vector and therefore a new

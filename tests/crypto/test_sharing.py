@@ -125,6 +125,45 @@ def test_feldman_commitment_combine_matches_share_sum():
     assert combined_commitment.public_constant == GROUP.base_power(300)
 
 
+@given(
+    seed=st.integers(min_value=0),
+    dealers=st.integers(min_value=1, max_value=6),
+    t=st.integers(min_value=1, max_value=4),
+    x=st.integers(min_value=1, max_value=10_000),
+    perf_on=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_feldman_combined_commitment_matches_per_dealer_products(
+    seed, dealers, t, x, perf_on
+):
+    """The threshold signer's ``C_Q = Π_d C_d`` identity: the combined
+    commitment's image at ``x`` and its constant term equal the products
+    of the per-dealer images and constants, with the perf layer on or off."""
+    import dataclasses
+
+    from repro.perf import configure, perf_config
+
+    rng = random.Random(seed)
+    dealer = FeldmanDealer(GROUP, n=t + 2, threshold=t)
+    commitments = [
+        dealer.deal(rng.randrange(GROUP.q), rng).commitment for _ in range(dealers)
+    ]
+    saved = dataclasses.asdict(perf_config())
+    configure(enabled=perf_on)
+    try:
+        combined = commitments[0]
+        for commitment in commitments[1:]:
+            combined = combined.combine(GROUP, commitment)
+        image = constant = GROUP.identity
+        for commitment in commitments:
+            image = GROUP.multiply(image, commitment.share_image(GROUP, x))
+            constant = GROUP.multiply(constant, commitment.public_constant)
+        assert combined.share_image(GROUP, x) == image
+        assert combined.public_constant == constant
+    finally:
+        configure(**saved)
+
+
 def test_feldman_share_image_matches_base_power():
     dealer = FeldmanDealer(GROUP, n=4, threshold=1)
     dealing = dealer.deal(55, random.Random(8))

@@ -76,6 +76,45 @@ def test_floor_layer_neutral_across_seeds(perf):
         assert transcript_digest(_run(seed)[0]) == expected, f"seed {seed} diverged"
 
 
+def test_transcript_digest_streams_the_whole_repr_hash():
+    """``transcript_digest`` feeds the hash piecewise; its value is still
+    the hash of the whole payload's repr, also for the shapes the golden
+    runs do not reach (one-element tuples, int keys whose repr order is
+    not numeric, non-int keys, empty and nested containers)."""
+    import hashlib
+    from types import SimpleNamespace
+
+    from repro.analysis.digest import stable_form
+
+    env = Envelope(3, 10, "disperse", ("fwd", ("probe", 1), frozenset({2, 1})), 4)
+    records = [
+        SimpleNamespace(info=("info", 0), sent=(), delivered={},
+                        broken=frozenset(), operational=frozenset({0, 1}),
+                        unreliable_links=frozenset()),
+        SimpleNamespace(info=("info", 1), sent=(env,), delivered={10: [env], 2: [], -1: [env, env]},
+                        broken=frozenset({3}), operational=frozenset({0}),
+                        unreliable_links=frozenset({(3, 10)})),
+    ]
+    execution = SimpleNamespace(
+        records=records,
+        system_log=[("alert", 1)],
+        node_outputs={"b": [env], "a": ()},
+        adversary_output={(1, 2): {"x"}, 11: (env,)},
+    )
+    payload = (
+        [
+            (r.info, stable_form(r.sent), stable_form(r.delivered), stable_form(r.broken),
+             stable_form(r.operational), stable_form(r.unreliable_links))
+            for r in records
+        ],
+        stable_form(execution.system_log),
+        stable_form(execution.node_outputs),
+        stable_form(execution.adversary_output),
+    )
+    expected = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    assert transcript_digest(execution) == expected
+
+
 # ------------------------------------------------------ compact records
 
 def test_compact_records_keep_rounds_digest_parity(perf):
