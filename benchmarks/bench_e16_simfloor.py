@@ -105,7 +105,7 @@ FULL_POINTS = (
     [("flood", n) for n in (5, 13, 25, 49)]
     + [("chaos", "disperse"), ("chaos", "uls"), ("e8", E8_N)]
 )
-SMOKE_POINTS = [("flood", 5), ("chaos", "disperse")]
+SMOKE_POINTS = [("flood", 5), ("flood", 49), ("chaos", "disperse")]
 
 COMPACT_N = 5 if SMOKE else 13
 

@@ -19,6 +19,11 @@ of *s-operational* nodes:
 
 A non-broken, non-operational node is *s-disconnected* (Def. 6).
 
+**Cost.**  A round costs O(n + |U|), U being its unreliable-link set: one
+walk over U charges each 2-element link to both endpoints, and every other
+live peer is reliable.  A refreshment phase keeps the union of its rounds'
+unreliable links, not the complement of all n(n−1)/2 pairs.
+
 **A note on the two survival conditions.**  Definition 5.2(b) of the paper
 gives two formulations — "reliable links with at least n − s + 1 nodes
 that were also s-operational" and, parenthetically, "unreliable links to
@@ -34,6 +39,8 @@ intact clique of survivors stays operational) outside it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Container, Iterable
 
 from repro.sim.clock import Phase, RoundInfo
 
@@ -53,7 +60,7 @@ class ConnectivityTracker:
         # refreshment-phase accumulators (Def. 5.3)
         self._phase_op_throughout: set[int] = set()
         self._phase_unbroken: set[int] = set()
-        self._phase_link_ok: set[frozenset[int]] = set()
+        self._phase_bad_links: set[frozenset[int]] = set()
 
     @property
     def operational(self) -> frozenset[int]:
@@ -86,27 +93,15 @@ class ConnectivityTracker:
                 self._update_phase(self._operational, broken, unreliable_links)
             return self._operational
 
-        previous = self._operational
-        survivors: set[int] = set()
-        for i in previous:
-            if i in broken:
-                continue
-            reliable_neighbors = 0
-            unreliable_neighbors = 0
-            for j in previous:
-                if j == i or j in broken:
-                    # a link that is down because its far endpoint is broken
-                    # is the *endpoint's* impairment, not ours: the paper
-                    # charges the adversary per node it breaks into or per
-                    # node whose own links it tampers with (§2.2)
-                    continue
-                if frozenset((i, j)) in unreliable_links:
-                    unreliable_neighbors += 1
-                else:
-                    reliable_neighbors += 1
-            if reliable_neighbors >= self.n - self.s or unreliable_neighbors < self.s:
-                survivors.add(i)
-        operational = frozenset(survivors)
+        # a link down because its far endpoint is broken is the *endpoint's*
+        # impairment, not ours: the paper charges the adversary per node it
+        # breaks into or per node whose own links it tampers with (§2.2)
+        live = self._operational - broken
+        bad = _bad_link_counts(live, unreliable_links, live)
+        operational = frozenset(
+            i for i, unreliable in bad.items()
+            if len(live) - 1 - unreliable >= self.n - self.s or unreliable < self.s
+        )
 
         if info.phase is Phase.REFRESH:
             if info.is_phase_start:
@@ -121,12 +116,9 @@ class ConnectivityTracker:
     # -- refreshment-phase bookkeeping (Def. 5.3) ------------------------------
 
     def _begin_phase(self, broken: frozenset[int]) -> None:
-        everyone = set(range(self.n))
-        self._phase_op_throughout = set(everyone)
-        self._phase_unbroken = everyone - broken
-        self._phase_link_ok = {
-            frozenset((i, j)) for i in range(self.n) for j in range(i + 1, self.n)
-        }
+        self._phase_op_throughout = set(range(self.n))
+        self._phase_unbroken = set(range(self.n)) - broken
+        self._phase_bad_links = set()
 
     def _update_phase(
         self,
@@ -136,20 +128,29 @@ class ConnectivityTracker:
     ) -> None:
         self._phase_op_throughout &= operational
         self._phase_unbroken -= broken
-        self._phase_link_ok -= unreliable_links
+        self._phase_bad_links |= unreliable_links
 
     def _apply_recoveries(self, operational: frozenset[int]) -> frozenset[int]:
-        promoted: set[int] = set(operational)
-        helpers_pool = self._phase_op_throughout
-        for candidate in range(self.n):
-            if candidate in operational or candidate not in self._phase_unbroken:
-                continue
-            helper_count = sum(
-                1
-                for helper in helpers_pool
-                if helper != candidate
-                and frozenset((candidate, helper)) in self._phase_link_ok
-            )
-            if helper_count >= self.n - self.s:
-                promoted.add(candidate)
-        return frozenset(promoted)
+        # a candidate's helpers are the phase-long operational pool (which
+        # never holds a candidate) less its bad links into the pool
+        pool = self._phase_op_throughout
+        bad = _bad_link_counts(self._phase_unbroken - operational, self._phase_bad_links, pool)
+        return operational.union(
+            c for c, unreliable in bad.items() if len(pool) - unreliable >= self.n - self.s
+        )
+
+
+def _bad_link_counts(
+    nodes: Iterable[int], links: Iterable[frozenset[int]], peers: Container[int]
+) -> dict[int, int]:
+    """For each of ``nodes``, the number of 2-element ``links`` joining it
+    to a member of ``peers`` — one pass over ``links``, no per-pair probe."""
+    bad = dict.fromkeys(nodes, 0)
+    for link in links:
+        if len(link) == 2:
+            i, j = link
+            if i in bad and j in peers:
+                bad[i] += 1
+            if j in bad and i in peers:
+                bad[j] += 1
+    return bad

@@ -1,5 +1,7 @@
 """Tests for DISPERSE (Fig. 2) including Lemma 15."""
 
+import pytest
+
 from repro.adversary.strategies import LinkAttackAdversary, LinkFault
 from repro.core.disperse import DisperseService
 from repro.sim.adversary_api import PassiveAdversary
@@ -120,3 +122,61 @@ def test_injected_forwarding_is_received_but_unauthenticated():
     runner = run(4, {}, adversary=Injector())
     received = runner.nodes[1].program.received
     assert (4, "", 0, "forged") in received
+
+
+# ------------------------------------------------ hostile wire input
+
+#: payloads an adversary can put on the DISPERSE channel that the payload
+#: unpack must drop: out-of-range and non-int destinations, an unhashable
+#: tag, an unhashable source, and an unhashable broadcast tag
+HOSTILE_PAYLOADS = [
+    ("fwd", "", 0, 99, "b"),
+    ("fwd", "", 0, "a", "b"),
+    ("fwd", [], 0, 2, "b"),
+    ("fwding", "", [], 1, "b"),
+    ("bcst", [], 0, "b"),
+]
+
+
+@pytest.mark.parametrize("payload", HOSTILE_PAYLOADS, ids=repr)
+def test_hostile_payload_is_dropped_at_ingress(payload):
+    """A hostile envelope neither raises out of the honest node's step nor
+    is relayed, buffered or remembered as a relay-dedup key; a well-formed
+    forward in the same inbox is still relayed."""
+    service = DisperseService()
+    ctx = NodeContext(1, 4, SCHED.info(3), None, None, [])
+    honest = ("fwd", "", 0, 2, "m")
+    inbox = [Envelope(0, 1, "disperse", payload, 3),
+             Envelope(0, 1, "disperse", honest, 3)]
+    service.on_round(ctx, inbox)
+    assert [e.payload for e in ctx.outbox] == [("fwding", "", 0, 2, "m")]
+    assert len(service._relayed) == 1
+    assert service.messages_relayed == 1
+    later = NodeContext(1, 4, SCHED.info(4), None, None, [])
+    service.on_round(later, [])
+    assert service.receipts("") == [] and later.outbox == []
+
+
+def test_hostile_payloads_do_not_abort_a_run():
+    """An adversary delivering every hostile payload to every node each
+    round: the run completes and the honest receipts are exactly those of
+    a passive run."""
+    from repro.sim.adversary_api import Adversary, faithful_delivery
+
+    class HostileInjector(Adversary):
+        def deliver(self, api, info, traffic):
+            plan = faithful_delivery(traffic, api.n)
+            if info.phase is Phase.NORMAL:
+                for receiver in range(api.n):
+                    for payload in HOSTILE_PAYLOADS:
+                        plan[receiver].append(api.forge_envelope(
+                            (receiver + 1) % api.n, receiver, "disperse", payload))
+            return plan
+
+    sends = {0: {2: (1, "a", "")}, 2: {3: (0, "b", "x")}, 3: {5: (2, "c", "y")}}
+    passive = run(4, sends)
+    hostile = run(4, sends, adversary=HostileInjector())
+    for node_id in range(4):
+        assert (hostile.nodes[node_id].program.received
+                == passive.nodes[node_id].program.received)
+    assert sum(len(node.program.received) for node in passive.nodes) == 3
